@@ -6,10 +6,11 @@ one simulation (a single data point): references to the input artifacts
 the parameters handed to the run script, and — once executed — a pointer
 to the results plus a summary (status, execution time).
 
-This reproduction's run objects are *executable*: ``run()`` reconstructs
-the simulator and guest objects from the referenced artifacts' payloads and
-metadata, drives :class:`repro.sim.Gem5Simulator` (or the GPU device), and
-archives everything in the database.
+This reproduction's run objects are *executable*: ``run()`` resolves the
+referenced artifacts' payloads and metadata into a self-contained payload,
+simulates it with :func:`repro.art.procjobs.execute_run_payload` — in this
+process, or in a worker process through ``run_in_pool()`` — and archives
+everything in the database.
 
 Run identity is two-layered.  The UUID (``run_id``) is the *instance* id:
 it names one attempt, one document, one row in an experiment.  The
@@ -24,25 +25,19 @@ the archived, hash-verified result at near-zero cost.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import new_uuid
 from repro.common.timeutil import iso_now
 from repro import chaos, telemetry
-from repro.art.artifact import Artifact, load_disk_image
+from repro.art.artifact import Artifact
 from repro.art.cache import RunCache
 from repro.art.db import ArtifactDB
+from repro.art.procjobs import InlineTransport, PoolTransport
 from repro.art.spec import RunSpec
 from repro.gpu.config import GPUConfig
-from repro.gpu.device import GPUDevice
-from repro.gpu.workloads import get_gpu_workload
-from repro.sim.buildinfo import Gem5Build
-from repro.sim.checkpoint import Checkpoint
-from repro.sim.config import SystemConfig
-from repro.sim.simulator import Gem5Simulator, SimulationStatus
 
 
 class RunStatus(str, enum.Enum):
@@ -53,12 +48,6 @@ class RunStatus(str, enum.Enum):
     DONE = "done"
     FAILED = "failed"
     TIMED_OUT = "timed_out"
-
-
-#: Simulation statuses that count as a *failed* run (vs a successful run
-#: of a simulation that itself reported a failure — for boot tests even a
-#: kernel panic is a valid, recorded outcome).
-_HARD_FAILURES = ()
 
 
 @dataclass
@@ -269,11 +258,14 @@ class Gem5Run:
         use_cache: bool = True,
         checkpoint_store=None,
     ) -> Dict[str, object]:
-        """Execute the simulation — or adopt its memoized result — and
-        archive the outcome.
+        """Execute the simulation in this process — or adopt its
+        memoized result — and archive the outcome.
 
         Returns the results summary also stored in the database.  The
-        gem5art timeout is enforced on host wall-clock time.
+        gem5art timeout is enforced on ``host_seconds``: host wall-clock
+        time of the simulate call alone, excluding artifact resolution
+        before it and the stats upload after it — the same span a worker
+        process reports for :meth:`run_in_pool`.
 
         With ``use_cache`` (the default) the run first consults the
         result cache by spec fingerprint: on a verified hit the archived
@@ -293,6 +285,35 @@ class Gem5Run:
         archived in the database next to the stats blob, so the timeline
         can be rehydrated from the database alone.
         """
+        return self._lifecycle(
+            InlineTransport(), use_cache, checkpoint_store
+        )
+
+    def run_in_pool(
+        self,
+        pool,
+        use_cache: bool = True,
+        repeats: int = 1,
+        checkpoint_store=None,
+    ) -> Dict[str, object]:
+        """Execute this run on a process-pool substrate.
+
+        The same lifecycle as :meth:`run` — only the simulate step
+        crosses into a worker process (see :mod:`repro.art.procjobs`),
+        which re-runs it ``repeats`` times asserting identical stats.
+        The cache consult, status transitions, stats-blob upload and
+        cache store all happen here in the parent.
+        """
+        return self._lifecycle(
+            PoolTransport(pool, repeats=repeats), use_cache, checkpoint_store
+        )
+
+    def _lifecycle(
+        self, transport, use_cache: bool, checkpoint_store
+    ) -> Dict[str, object]:
+        """Run the one lifecycle every run takes, whatever the transport:
+        cache consult, checkpoint consult, RUNNING, simulate, stats
+        upload, DONE/TIMED_OUT/FAILED, cache store."""
         span = telemetry.get_tracer().span(
             "run",
             attributes={
@@ -301,11 +322,25 @@ class Gem5Run:
                 "fingerprint": self.fingerprint,
             },
         )
+        cache = RunCache(self.db) if use_cache and self.fingerprint else None
         try:
             with span:
-                summary = self._run_or_adopt(
-                    use_cache, span, checkpoint_store
-                )
+                entry = None
+                if cache is not None:
+                    entry = cache.consult(self.fingerprint)
+                    span.set_attribute(
+                        "cache", "miss" if entry is None else "hit"
+                    )
+                if entry is not None:
+                    summary = self.adopt_cached(entry)
+                else:
+                    summary = self._simulate(transport, checkpoint_store)
+                    if summary.get("restored_boot"):
+                        span.set_attribute("boot", "restored")
+                    if cache is not None and self.status is RunStatus.DONE:
+                        cache.store(
+                            self.fingerprint, self.db.get_run(self.run_id)
+                        )
                 span.set_attribute("status", self.status.value)
                 span.set_attribute(
                     "workload", summary.get("workload", "")
@@ -321,80 +356,28 @@ class Gem5Run:
             self._archive_telemetry(span)
         return summary
 
-    def run_in_pool(
-        self,
-        pool,
-        use_cache: bool = True,
-        repeats: int = 1,
-        checkpoint_store=None,
-    ) -> Dict[str, object]:
-        """Execute this run on a process-pool substrate.
+    def _simulate(self, transport, checkpoint_store) -> Dict[str, object]:
+        """Simulate through ``transport`` and archive the outcome.
 
-        The cache consult, status transitions, stats-blob upload and
-        cache store all happen here in the parent — the worker process
-        only simulates (see :mod:`repro.art.procjobs`).  Semantics match
-        :meth:`run`: a cache hit adopts without simulating, a worker
-        failure marks the run FAILED and re-raises, and the gem5art
-        timeout is enforced on the worker's host wall-clock seconds.
+        The checkpoint is fetched here, in the parent; its compatibility
+        re-check runs while the payload is built
+        (:func:`repro.art.procjobs.payload_for_run`), so a mismatch
+        degrades to a full boot on every transport.
         """
-        span = telemetry.get_tracer().span(
-            "run",
-            attributes={
-                "run_id": self.run_id,
-                "kind": self.kind,
-                "fingerprint": self.fingerprint,
-                "substrate": "processes",
-            },
-        )
-        try:
-            with span:
-                summary = self._run_or_adopt_in_pool(
-                    pool, use_cache, repeats, span, checkpoint_store
-                )
-                span.set_attribute("status", self.status.value)
-                span.set_attribute(
-                    "workload", summary.get("workload", "")
-                )
-        finally:
-            span.set_attribute("status", self.status.value)
-            telemetry.get_metrics().counter(
-                "runs_total", "gem5art runs by final status"
-            ).inc(outcome=self.status.value)
-            self._archive_telemetry(span)
-        return summary
-
-    def _run_or_adopt_in_pool(
-        self, pool, use_cache: bool, repeats: int, span, checkpoint_store
-    ) -> Dict[str, object]:
-        from repro.art.procjobs import envelope_for_run
-
-        cache = (
-            RunCache(self.db) if use_cache and self.fingerprint else None
-        )
-        if cache is not None:
-            entry = cache.consult(self.fingerprint)
-            if entry is not None:
-                span.set_attribute("cache", "hit")
-                return self.adopt_cached(entry)
-            span.set_attribute("cache", "miss")
-        restore = None
-        if checkpoint_store is not None and self.kind == "fs":
-            # Full compatibility (including the image hash) is
-            # re-verified inside the worker; the prefix key already
-            # guarantees it, so a mismatch there is a loud failure,
-            # not a silent wrong restore.
-            restore = checkpoint_store.get(self.prefix)
-        if restore is not None:
-            span.set_attribute("boot", "restored")
-        envelope = envelope_for_run(
-            self, repeats=repeats, restore_from=restore
+        restore = (
+            None
+            if checkpoint_store is None
+            else checkpoint_store.get(self.prefix)
         )
         self._set_status(
             RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
         )
-        handle = pool.submit(envelope)
         try:
-            outcome = handle.result()
+            outcome, host_seconds, worker = transport.run(self, restore)
+            stats_file_id = self.db.upload_file(
+                outcome["stats_txt"].encode("utf-8"),
+                filename=f"stats-{self.run_id}.txt",
+            )
         except Exception as error:
             self.results = {"error": str(error)}
             self._set_status(
@@ -404,41 +387,18 @@ class Gem5Run:
             )
             raise
         summary = dict(outcome["summary"])
-        stats_file_id = self.db.upload_file(
-            outcome["stats_txt"].encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
         summary["stats_file_id"] = stats_file_id
         summary["stats_fingerprint"] = outcome["stats_fingerprint"]
-        summary["host_seconds"] = handle.host_seconds
-        summary["worker"] = handle.worker
-        finished = {"finished_at_wall": iso_now()}
-        if handle.host_seconds > self.timeout:
+        summary["host_seconds"] = host_seconds
+        summary["worker"] = worker
+        status = RunStatus.DONE
+        if host_seconds > self.timeout:
             summary["timed_out"] = True
-            self.results = summary
-            self._set_status(RunStatus.TIMED_OUT, summary, extra=finished)
-            return summary
+            status = RunStatus.TIMED_OUT
         self.results = summary
-        self._set_status(RunStatus.DONE, summary, extra=finished)
-        if cache is not None and self.status is RunStatus.DONE:
-            cache.store(self.fingerprint, self.db.get_run(self.run_id))
-        return summary
-
-    def _run_or_adopt(
-        self, use_cache: bool, span, checkpoint_store=None
-    ) -> Dict[str, object]:
-        cache = (
-            RunCache(self.db) if use_cache and self.fingerprint else None
+        self._set_status(
+            status, summary, extra={"finished_at_wall": iso_now()}
         )
-        if cache is not None:
-            entry = cache.consult(self.fingerprint)
-            if entry is not None:
-                span.set_attribute("cache", "hit")
-                return self.adopt_cached(entry)
-            span.set_attribute("cache", "miss")
-        summary = self._run_guarded(checkpoint_store)
-        if cache is not None and self.status is RunStatus.DONE:
-            cache.store(self.fingerprint, self.db.get_run(self.run_id))
         return summary
 
     def adopt_cached(self, entry: Dict[str, object]) -> Dict[str, object]:
@@ -458,38 +418,6 @@ class Gem5Run:
         )
         return results
 
-    def _run_guarded(self, checkpoint_store=None) -> Dict[str, object]:
-        self._set_status(
-            RunStatus.RUNNING, extra={"started_at_wall": iso_now()}
-        )
-        started = time.monotonic()
-        try:
-            if self.kind == "fs":
-                summary = self._run_fs(checkpoint_store)
-            elif self.kind == "gpu":
-                summary = self._run_gpu()
-            else:
-                raise ValidationError(f"unknown run kind {self.kind!r}")
-        except Exception as error:
-            self.results = {"error": str(error)}
-            self._set_status(
-                RunStatus.FAILED,
-                self.results,
-                extra={"finished_at_wall": iso_now()},
-            )
-            raise
-        elapsed = time.monotonic() - started
-        summary["host_seconds"] = elapsed
-        finished = {"finished_at_wall": iso_now()}
-        if elapsed > self.timeout:
-            summary["timed_out"] = True
-            self.results = summary
-            self._set_status(RunStatus.TIMED_OUT, summary, extra=finished)
-            return summary
-        self.results = summary
-        self._set_status(RunStatus.DONE, summary, extra=finished)
-        return summary
-
     def _archive_telemetry(self, span) -> None:
         """Store this run's span subtree as a blob next to its stats."""
         if not telemetry.enabled() or not span.span_id:
@@ -503,147 +431,6 @@ class Gem5Run:
             telemetry.snapshot(spans=spans),
             kind="run",
         )
-
-    def _fs_inputs(self):
-        """Reconstruct (build, kernel_version, image) from the artifacts."""
-        gem5_artifact = Artifact.load(self.db, self.artifacts["gem5"])
-        kernel_artifact = Artifact.load(
-            self.db, self.artifacts["linux_binary"]
-        )
-        disk_artifact = Artifact.load(self.db, self.artifacts["disk_image"])
-        build = Gem5Build(
-            version=gem5_artifact.metadata.get("version", "20.1.0.4"),
-            isa=gem5_artifact.metadata.get("isa", "X86"),
-            variant=gem5_artifact.metadata.get("variant", "opt"),
-        )
-        kernel_version = kernel_artifact.metadata["kernel_version"]
-        image = load_disk_image(disk_artifact)
-        return build, kernel_version, image
-
-    def _consult_checkpoint(
-        self, store, kernel_version: str, image
-    ) -> Optional[Checkpoint]:
-        """Fetch this run's boot checkpoint, degrading on any doubt.
-
-        The store's ``get`` already degrades on missing/corrupt entries;
-        this layer additionally re-verifies restore compatibility and
-        treats a mismatch as a miss (full boot) rather than a failure —
-        a stale or hand-edited store must never wedge a sweep.
-        """
-        if store is None or self.kind != "fs":
-            return None
-        prefix = self.prefix
-        if prefix is None:
-            return None
-        checkpoint = store.get(prefix)
-        if checkpoint is None:
-            return None
-        try:
-            checkpoint.check_compatible(
-                kernel_version=kernel_version,
-                disk_image_hash=image.content_hash(),
-                num_cpus=self.params["num_cpus"],
-                memory_system=self.params["memory_system"],
-            )
-        except ValidationError as error:
-            telemetry.get_event_log().emit(
-                "checkpoint.incompatible",
-                run_id=self.run_id,
-                prefix=prefix,
-                error=str(error),
-            )
-            return None
-        return checkpoint
-
-    def take_boot_checkpoint(
-        self, boot_cpu: str = "kvm"
-    ) -> Optional[Checkpoint]:
-        """Boot this run's prefix once and capture a checkpoint.
-
-        The boot stage of the staged planner: executed under a cheap CPU
-        model (kvm by default — supported on every platform shape) on
-        this run's platform shape and boot type.  Returns None when the
-        boot itself fails; the cohort then degrades to full boots.
-        """
-        if self.kind != "fs":
-            return None
-        build, kernel_version, image = self._fs_inputs()
-        config = SystemConfig(
-            cpu_type=boot_cpu,
-            num_cpus=self.params["num_cpus"],
-            memory_system=self.params["memory_system"],
-            memory_tech=self.params["memory_tech"],
-            memory_channels=self.params["memory_channels"],
-        )
-        simulator = Gem5Simulator(build, config)
-        checkpoint, _ = simulator.take_boot_checkpoint(
-            kernel=kernel_version,
-            disk_image=image,
-            boot_type=self.params.get("boot_type", "systemd"),
-        )
-        return checkpoint
-
-    def _run_fs(self, checkpoint_store=None) -> Dict[str, object]:
-        build, kernel_version, image = self._fs_inputs()
-        config = SystemConfig(
-            cpu_type=self.params["cpu_type"],
-            num_cpus=self.params["num_cpus"],
-            memory_system=self.params["memory_system"],
-            memory_tech=self.params["memory_tech"],
-            memory_channels=self.params["memory_channels"],
-        )
-        simulator = Gem5Simulator(build, config)
-        restore = self._consult_checkpoint(
-            checkpoint_store, kernel_version, image
-        )
-        result = simulator.run_fs(
-            kernel=kernel_version,
-            disk_image=image,
-            benchmark=self.params.get("benchmark"),
-            input_size=self.params.get("input_size"),
-            boot_type=self.params.get("boot_type", "systemd"),
-            restore_from=restore,
-        )
-        stats_file_id = self.db.upload_file(
-            result.stats_txt().encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
-        return {
-            "simulation_status": result.status.value,
-            "reason": result.reason,
-            "sim_seconds": result.sim_seconds,
-            "boot_seconds": result.boot_seconds,
-            "workload_seconds": result.workload_seconds,
-            "instructions": result.instructions,
-            "config": result.config_summary,
-            "workload": result.workload_name,
-            "stats_file_id": stats_file_id,
-            "restored_boot": restore is not None,
-            "success": result.status is SimulationStatus.OK,
-        }
-
-    def _run_gpu(self) -> Dict[str, object]:
-        workload = get_gpu_workload(self.params["workload"])
-        config_params = dict(self.params["gpu_config"])
-        config = GPUConfig(**config_params)
-        device = GPUDevice(config)
-        result = device.execute(
-            workload.kernel, self.params["register_allocator"]
-        )
-        stats_file_id = self.db.upload_file(
-            result.stats_txt().encode("utf-8"),
-            filename=f"stats-{self.run_id}.txt",
-        )
-        return {
-            "simulation_status": "ok",
-            "workload": workload.name,
-            "suite": workload.suite,
-            "register_allocator": result.allocator,
-            "shader_ticks": result.shader_ticks,
-            "occupancy_per_simd": result.occupancy_per_simd,
-            "stats_file_id": stats_file_id,
-            "success": True,
-        }
 
     # ------------------------------------------------------------ storage
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.art.cache import RunCache
 from repro.art.checkpoints import CheckpointStore
+from repro.art.procjobs import InlineTransport, PoolTransport
 from repro.art.run import Gem5Run
 from repro.common.errors import ValidationError
 from repro.scheduler import (
@@ -40,11 +41,7 @@ def run_job(
     checkpoint_store: Optional[CheckpointStore] = None,
 ) -> Dict[str, object]:
     """Execute one run synchronously (the no-scheduler option)."""
-    if checkpoint_store is not None:
-        return run.run(
-            use_cache=use_cache, checkpoint_store=checkpoint_store
-        )
-    return run.run(use_cache=use_cache)
+    return run.run(use_cache=use_cache, checkpoint_store=checkpoint_store)
 
 
 def run_jobs_pool(
@@ -103,27 +100,22 @@ def run_boot_stage(
 ) -> Dict[str, object]:
     """Stage 1 of the planner: one boot checkpoint per unique prefix.
 
-    Groups the sweep by prefix fingerprint and drives one
-    ``take_boot_checkpoint`` job per group — inline on the calling
-    thread for the thread substrate, or as a boot envelope on the
-    process pool.  Boot leadership is single-flighted through the
-    store, so racing stages (or racing experiments sharing one store)
-    still produce exactly one boot per prefix.  Returns
-    ``{prefix: checkpoint-or-None}``; a None cohort degrades to full
-    boots downstream.
+    Groups the sweep by prefix fingerprint and drives one boot job per
+    group through the run transport — in this process for the thread
+    substrate, as a boot envelope on the process pool.  Boot leadership
+    is single-flighted through the store, so racing stages (or racing
+    experiments sharing one store) still produce exactly one boot per
+    prefix.  Returns ``{prefix: checkpoint-or-None}``; a None cohort
+    degrades to full boots downstream.
     """
     plan = group_runs_by_prefix(runs)
+    transport = InlineTransport() if pool is None else PoolTransport(pool)
 
     def boot_one(prefix: str) -> object:
         representative = runs[plan[prefix][0]]
-        if pool is not None:
-            thunk = _pool_boot(representative, pool, boot_cpu)
-        else:
-            def thunk():
-                return representative.take_boot_checkpoint(
-                    boot_cpu=boot_cpu
-                )
-        return store.get_or_boot(prefix, thunk)
+        return store.get_or_boot(
+            prefix, lambda: transport.boot(representative, boot_cpu)
+        )
 
     checkpoints: Dict[str, object] = {}
     with get_tracer().span(
@@ -147,21 +139,6 @@ def run_boot_stage(
                 for prefix, handle in handles.items():
                     checkpoints[prefix] = handle.get()
     return checkpoints
-
-
-def _pool_boot(run: Gem5Run, pool: ProcessPool, boot_cpu: str):
-    """A boot thunk that ships the boot job to a worker process."""
-    from repro.art.procjobs import envelope_for_boot
-    from repro.sim.checkpoint import Checkpoint
-
-    def boot():
-        handle = pool.submit(envelope_for_boot(run, boot_cpu=boot_cpu))
-        outcome = handle.result()
-        if outcome.get("checkpoint") is None:
-            return None
-        return Checkpoint.from_dict(outcome["checkpoint"])
-
-    return boot
 
 
 def run_jobs_scheduler(
@@ -252,22 +229,16 @@ def run_jobs_scheduler(
 
     @app.task(name="gem5art.run_gem5_job", retry_policy=retry_policy)
     def run_gem5_job(index: int):
-        # Only pass the staged-pipeline kwargs when they are in play, so
-        # duck-typed run objects with the classic signature keep working.
-        if pool is not None:
-            if store is not None or repeats != 1:
-                return runs[index].run_in_pool(
-                    pool,
-                    use_cache=use_cache,
-                    repeats=repeats,
-                    checkpoint_store=store,
-                )
-            return runs[index].run_in_pool(pool, use_cache=use_cache)
-        if store is not None:
+        if pool is None:
             return runs[index].run(
                 use_cache=use_cache, checkpoint_store=store
             )
-        return runs[index].run(use_cache=use_cache)
+        return runs[index].run_in_pool(
+            pool,
+            use_cache=use_cache,
+            repeats=repeats,
+            checkpoint_store=store,
+        )
 
     stages = ExitStack()
     try:

@@ -19,7 +19,7 @@ paper:
 """
 
 from repro.sim.events import EventQueue
-from repro.sim.stats import StatsDB
+from repro.common.statsdb import StatsDB
 from repro.sim.config import (
     SystemConfig,
     CacheConfig,

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
+from repro.common.statsdb import StatsDB
 from repro.common.units import TICKS_PER_SECOND
 from repro.sim.config import SystemConfig
 from repro.sim.cpu.models import KVM_HOST_RATE, build_cpu_model
 from repro.sim.events import EventQueue
 from repro.sim.mem.hierarchy import MemoryTimings, build_memory_system
-from repro.sim.stats import StatsDB
 from repro.sim.workload.phases import Phase, Workload
 from repro.telemetry import get_metrics
 

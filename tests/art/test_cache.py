@@ -25,13 +25,13 @@ def db():
 def count_simulations(monkeypatch):
     """Patch the execution slow path; cache hits must never reach it."""
     executed = []
-    original = Gem5Run._run_guarded
+    original = Gem5Run._simulate
 
-    def recording(self, checkpoint_store=None):
+    def recording(self, *args):
         executed.append(self.run_id)
-        return original(self, checkpoint_store)
+        return original(self, *args)
 
-    monkeypatch.setattr(Gem5Run, "_run_guarded", recording)
+    monkeypatch.setattr(Gem5Run, "_simulate", recording)
     return executed
 
 

@@ -15,6 +15,7 @@ from repro.art import (
     run_job,
     run_jobs_scheduler,
 )
+from repro.art.run import RunStatus
 from repro.sim import Gem5Build
 
 from tests.art.test_run_tasks import fs_artifacts, make_run  # noqa: F401
@@ -158,6 +159,37 @@ def test_boot_stage_failure_degrades_to_full_boots(db, fs_artifacts):
         assert misses.value(reason="absent") == 1
     assert summary["success"]
     assert not summary["restored_boot"]
+
+
+@pytest.mark.parametrize("substrate", ["threads", "processes"])
+def test_incompatible_checkpoint_degrades_on_every_substrate(
+    db, fs_artifacts, substrate
+):
+    """A checkpoint stored under a prefix it does not match (a stale or
+    hand-edited store) degrades the run to a full boot on both
+    substrates: the compatibility re-check runs in the parent, so the
+    mismatched checkpoint never reaches a simulator."""
+    run = make_run(db, fs_artifacts, cpu_type="kvm", num_cpus=1)
+    two_cpus = make_run(db, fs_artifacts, cpu_type="kvm", num_cpus=2)
+    store = CheckpointStore(db)
+    checkpoint = run_boot_stage([two_cpus], store)[two_cpus.prefix]
+    assert checkpoint.num_cpus == 2
+    store.store(run.prefix, checkpoint)
+    with telemetry.session() as session:
+        [summary] = run_jobs_scheduler(
+            [run],
+            worker_count=1,
+            substrate=substrate,
+            use_cache=False,
+            use_checkpoints=True,
+            checkpoint_store=store,
+        )
+        events = session.events.records(kind="checkpoint.incompatible")
+    assert run.status is RunStatus.DONE
+    assert summary["success"]
+    assert summary["restored_boot"] is False
+    assert [e["attributes"]["run_id"] for e in events] == [run.run_id]
+    assert "num_cpus 1 != 2" in events[0]["attributes"]["error"]
 
 
 def test_restored_outcomes_match_full_boots(db, fs_artifacts):

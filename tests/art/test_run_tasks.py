@@ -170,7 +170,7 @@ class _SlowRun:
     timeout = 0.05
     fingerprint = ""
 
-    def run(self, use_cache=True):
+    def run(self, use_cache=True, **kwargs):
         import time
 
         time.sleep(2.0)
@@ -217,19 +217,23 @@ def test_run_unknown_kind_rejected(db, fs_artifacts):
         run.run()
 
 
-def test_scheduler_processes_substrate_executes_runs(db, fs_artifacts):
+@pytest.mark.parametrize("substrate", ["threads", "processes"])
+def test_scheduler_processes_substrate_executes_runs(
+    db, fs_artifacts, substrate
+):
     runs = [
         make_run(db, fs_artifacts, num_cpus=n) for n in (1, 2, 4)
     ]
     summaries = run_jobs_scheduler(
-        runs, worker_count=2, substrate="processes"
+        runs, worker_count=2, substrate=substrate
     )
     assert [run.status for run in runs] == [RunStatus.DONE] * 3
     for summary in summaries:
         assert summary["stats_file_id"]
         assert summary["stats_fingerprint"]
-        # The worker's stats crossed the process boundary intact: the
-        # blob the parent archived hashes to the worker's fingerprint.
+        # The stats reached the parent intact (across the process
+        # boundary on the process substrate): the blob the parent
+        # archived hashes to the simulate step's fingerprint.
         blob = db.download_file(summary["stats_file_id"])
         from repro.common.hashing import sha256_bytes
 
