@@ -136,7 +136,12 @@ class Tracer:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._finished: List[Span] = []
+        # Indexed once, as each span finishes: span id -> span, in
+        # completion order, and parent id -> finished children, in
+        # completion order.  ``subtree`` walks these instead of
+        # serializing every span in the session.
+        self._by_id: Dict[str, Span] = {}
+        self._children: Dict[Optional[str], List[Span]] = {}
         self._local = threading.local()
 
     # ------------------------------------------------------------ creation
@@ -213,37 +218,30 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         with self._lock:
-            self._finished.append(span)
+            self._by_id[span.span_id] = span
+            self._children.setdefault(span.parent_id, []).append(span)
 
     # -------------------------------------------------------------- export
 
     def finished_spans(self) -> List[Dict[str, Any]]:
         with self._lock:
-            return [span.to_dict() for span in self._finished]
+            return [span.to_dict() for span in self._by_id.values()]
 
     def subtree(self, root_span_id: str) -> List[Dict[str, Any]]:
         """The finished span rooted at ``root_span_id`` plus every finished
         descendant, root first (breadth-first, completion order within a
-        level)."""
-        spans = self.finished_spans()
-        children: Dict[str, List[Dict[str, Any]]] = {}
-        by_id: Dict[str, Dict[str, Any]] = {}
-        for span in spans:
-            by_id[span["span_id"]] = span
-            children.setdefault(span["parent_id"], []).append(span)
-        out: List[Dict[str, Any]] = []
-        # deque, not list.pop(0): popping the head of a list is O(n), and
-        # archived experiment traces reach hundreds of thousands of spans.
-        frontier = collections.deque([root_span_id])
-        while frontier:
-            span_id = frontier.popleft()
-            span = by_id.get(span_id)
-            if span is not None:
-                out.append(span)
-            frontier.extend(
-                child["span_id"] for child in children.get(span_id, [])
-            )
-        return out
+        level).  Descendants are included even while the root is open.
+
+        Costs O(spans in the subtree): only they are serialized."""
+        with self._lock:
+            root = self._by_id.get(root_span_id)
+            spans = [] if root is None else [root]
+            frontier = collections.deque([root_span_id])
+            while frontier:
+                children = self._children.get(frontier.popleft(), ())
+                spans.extend(children)
+                frontier.extend(child.span_id for child in children)
+            return [span.to_dict() for span in spans]
 
 
 class _RemoteSpan:

@@ -205,3 +205,51 @@ def test_rehydrate_missing_owner_raises():
     db = make_db()
     with pytest.raises(NotFoundError):
         rehydrate_telemetry(db, "nope")
+
+
+def _count_to_dict_calls(monkeypatch, num_runs_per_benchmark):
+    """Launch a telemetry-on sweep; returns (``Span.to_dict`` calls made
+    while launching, finished spans, runs)."""
+    from repro.telemetry.tracing import Span
+
+    db = make_db()
+    artifacts = make_artifacts(db)
+    experiment = Experiment(db, "linear")
+    experiment.add_stack(
+        "bionic",
+        gem5=artifacts["gem5"],
+        gem5_git=artifacts["gem5_git"],
+        run_script_git=artifacts["script_git"],
+        linux_binary=artifacts["kernel"],
+        disk_image=artifacts["disk"],
+    )
+    experiment.fix(cpu_type="timing")
+    experiment.sweep(
+        benchmark=["ferret", "blackscholes", "canneal"],
+        num_cpus=[1, 2, 4, 8][:num_runs_per_benchmark],
+    )
+    calls = []
+    to_dict = Span.to_dict
+
+    def counting(span):
+        calls.append(span.span_id)
+        return to_dict(span)
+
+    with telemetry.session() as session:
+        monkeypatch.setattr(Span, "to_dict", counting)
+        summaries = experiment.launch(backend="inline")
+        serialized = len(calls)
+        finished = len(session.tracer.finished_spans())
+    return serialized, finished, len(summaries)
+
+
+def test_span_archival_is_linear_in_finished_spans(monkeypatch):
+    # Each run archives its own subtree and the experiment archives its
+    # subtree once, so every finished span is serialized at most twice,
+    # whatever the sweep size.  A quadratic archiver (re-serializing the
+    # whole session per run) breaks the bound at the larger sweep.
+    small = _count_to_dict_calls(monkeypatch, 1)
+    large = _count_to_dict_calls(monkeypatch, 4)
+    assert large[2] == 4 * small[2]
+    for calls, finished, _ in (small, large):
+        assert calls <= 2 * finished, (calls, finished)

@@ -1,5 +1,6 @@
 """Tracing: nesting, cross-thread propagation, sessions, the null twins."""
 
+import sys
 import threading
 
 from repro import telemetry
@@ -84,6 +85,116 @@ def test_subtree_collects_descendants_only():
     names = {s["name"] for s in tracer.subtree(a.span_id)}
     assert names == {"a", "b", "c"}
     assert {s["name"] for s in tracer.subtree(b.span_id)} == {"b", "c"}
+
+
+def _names(records):
+    return [record["name"] for record in records]
+
+
+def _deep_tree_ended_out_of_start_order():
+    """root -> {a -> {a1, a2}, b -> b1 -> b11}, ended leaves first with
+    siblings ended in reverse start order."""
+    tracer = Tracer()
+    root = tracer.span("root")
+    a = tracer.span("a", parent=root)
+    b = tracer.span("b", parent=root)
+    a1 = tracer.span("a1", parent=a)
+    a2 = tracer.span("a2", parent=a)
+    b1 = tracer.span("b1", parent=b)
+    b11 = tracer.span("b11", parent=b1)
+    for span in (b11, a2, b1, a1, b, a, root):
+        span.end()
+    return tracer, root, b
+
+
+def test_finished_spans_are_in_completion_order():
+    tracer, _, _ = _deep_tree_ended_out_of_start_order()
+    assert _names(tracer.finished_spans()) == [
+        "b11", "a2", "b1", "a1", "b", "a", "root",
+    ]
+
+
+def test_subtree_is_root_first_breadth_first_in_completion_order():
+    tracer, root, b = _deep_tree_ended_out_of_start_order()
+    assert _names(tracer.subtree(root.span_id)) == [
+        "root", "b", "a", "b1", "a2", "a1", "b11",
+    ]
+    assert _names(tracer.subtree(b.span_id)) == ["b", "b1", "b11"]
+
+
+def test_subtree_records_equal_finished_span_records():
+    tracer, root, _ = _deep_tree_ended_out_of_start_order()
+    by_name = {record["name"]: record for record in tracer.finished_spans()}
+    subtree = tracer.subtree(root.span_id)
+    assert subtree == [by_name[record["name"]] for record in subtree]
+
+
+def test_subtree_follows_children_parented_across_threads():
+    tracer = Tracer()
+    parent = tracer.span("parent")
+    wire = parent.context.to_dict()
+
+    def worker():
+        with tracer.span("via-dict", parent=wire):
+            with tracer.span("grandchild"):
+                pass
+        with tracer.span("via-context", parent=SpanContext.from_dict(wire)):
+            pass
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    parent.end()
+    assert _names(tracer.subtree(parent.span_id)) == [
+        "parent", "via-dict", "via-context", "grandchild",
+    ]
+
+
+def test_subtree_of_open_span_holds_its_finished_descendants():
+    tracer = Tracer()
+    with tracer.span("open") as open_span:
+        with tracer.span("child"):
+            with tracer.span("grandchild"):
+                pass
+        with tracer.span("sibling"):
+            pass
+        assert _names(tracer.subtree(open_span.span_id)) == [
+            "child", "sibling", "grandchild",
+        ]
+    assert tracer.subtree("unknown-span-id") == []
+
+
+def test_concurrent_finishes_lose_no_span_from_the_indexes():
+    tracer = Tracer()
+    parent = tracer.span("parent")
+    wire = parent.context.to_dict()
+    threads_n, spans_per_thread = 8, 200
+
+    def worker():
+        for _ in range(spans_per_thread):
+            with tracer.span("child", parent=wire):
+                with tracer.span("leaf"):
+                    pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    parent.end()
+    total = 1 + 2 * threads_n * spans_per_thread
+    assert len(tracer.finished_spans()) == total
+    subtree = tracer.subtree(parent.span_id)
+    assert len(subtree) == total
+    assert _names(subtree[: 1 + threads_n * spans_per_thread]) == [
+        "parent"
+    ] + ["child"] * (threads_n * spans_per_thread)
 
 
 def test_exception_marks_span_and_still_finishes():
