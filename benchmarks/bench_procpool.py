@@ -2,9 +2,10 @@
 
 Runs the same 16-job timing-CPU boot shard twice:
 
-- **threads** — :class:`repro.scheduler.SimplePool` with 4 workers; the
-  GIL serializes the pure-Python simulator, so this measures the old
-  "multiprocessing-shaped" facade's real parallelism (none);
+- **threads** — a :class:`concurrent.futures.ThreadPoolExecutor` with 4
+  workers; the GIL serializes the pure-Python simulator, so this
+  measures what a fixed set of worker threads really parallelizes
+  (nothing);
 - **processes** — :class:`repro.scheduler.ProcessPool` with 4 spawn-safe
   worker processes; simulations run on separate interpreters and scale
   with cores.
@@ -35,9 +36,9 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.common.hostinfo import effective_cores
-from repro.scheduler.pool import SimplePool
 from repro.scheduler.procpool import JobEnvelope, ProcessPool
 from repro.sim.testing import boot_shard_job
 
@@ -59,12 +60,8 @@ def payloads():
 
 def bench_threads() -> float:
     started = time.perf_counter()
-    with SimplePool(processes=WORKERS) as pool:
-        handles = [
-            pool.apply_async(boot_shard_job, (payload,))
-            for payload in payloads()
-        ]
-        results = [handle.get() for handle in handles]
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        results = list(pool.map(boot_shard_job, payloads()))
     elapsed = time.perf_counter() - started
     assert all(r["ok"] for r in results)
     return elapsed

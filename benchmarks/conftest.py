@@ -21,7 +21,7 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_pool,
+    run_job,
 )
 from repro.analysis import run_records
 from repro.guest import BOOT_TEST_KERNEL_VERSIONS, get_distro, get_kernel
@@ -79,7 +79,8 @@ def parsec_sweep():
                         input_size="simmedium",
                     )
                 )
-    run_jobs_pool(runs, processes=8)
+    for run in runs:
+        run_job(run)
     table = {
         "ubuntu-18.04": {app: {} for app in PARSEC_WORKING_APPS},
         "ubuntu-20.04": {app: {} for app in PARSEC_WORKING_APPS},
@@ -147,7 +148,8 @@ def boot_sweep():
                 num_cpus=cores,
             )
         )
-    run_jobs_pool(runs, processes=8)
+    for run in runs:
+        run_job(run)
     records = []
     for run, key in zip(runs, keys):
         doc = db.get_run(run.run_id)

@@ -2,7 +2,7 @@
 
 Not a paper figure — these keep the infrastructure honest: artifact
 hashing/dedup cost, database query latency at boot-test scale, event-queue
-throughput, disk-image hashing, and scheduler dispatch overhead.
+throughput, and disk-image hashing.
 """
 
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from repro.art import ArtifactDB, Artifact
 from repro.db import Collection
 from repro.resources import build_resource
-from repro.scheduler import SimplePool
 from repro.sim.events import EventQueue
 
 
@@ -66,11 +65,3 @@ def test_bench_disk_image_hash(benchmark):
     image = build_resource("parsec").image
     digest = benchmark(image.content_hash)
     assert len(digest) == 32
-
-
-def test_bench_pool_dispatch_overhead(benchmark):
-    def dispatch_100():
-        with SimplePool(processes=8) as pool:
-            return sum(pool.map(lambda x: x, range(100)))
-
-    assert benchmark(dispatch_100) == sum(range(100))

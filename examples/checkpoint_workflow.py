@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The hack-back checkpoint workflow, plus batch scheduling and a
+"""The hack-back checkpoint workflow, plus a recorded experiment and a
 shareable report.
 
 Demonstrates three of the framework's agility features together:
@@ -7,9 +7,10 @@ Demonstrates three of the framework's agility features together:
 1. boot Ubuntu once under the fast kvm CPU and take a checkpoint (what
    the Table I ``hack-back`` resource exists for);
 2. fan out detailed-CPU measurements that *restore* the checkpoint —
-   skipping every boot — across a Condor-style machine pool;
-3. render the experiment's reproducibility report and export the whole
-   thing as a verified archive another researcher can import.
+   skipping every boot;
+3. record the same study as an experiment, render its reproducibility
+   report and export the whole thing as a verified archive another
+   researcher can import.
 
 Run with:  python examples/checkpoint_workflow.py
 """
@@ -75,7 +76,7 @@ def main() -> None:
     experiment.sweep(
         benchmark=["blackscholes", "swaptions", "ferret"], num_cpus=[1, 8]
     )
-    experiment.launch(backend="pool", workers=4)
+    experiment.launch(backend="inline")
 
     print("\n" + experiment_report(db))
 

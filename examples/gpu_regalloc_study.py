@@ -16,7 +16,7 @@ from repro.art import (
     Gem5Run,
     register_gem5_binary,
     register_repo,
-    run_jobs_pool,
+    run_jobs_scheduler,
 )
 from repro.gpu import GPU_WORKLOADS, GPUConfig
 from repro.resources import build_resource
@@ -59,7 +59,7 @@ def main() -> None:
                 )
             )
     print(f"launching {len(runs)} GPU runs ...")
-    summaries = run_jobs_pool(runs, processes=8)
+    summaries = run_jobs_scheduler(runs, worker_count=8)
 
     ticks = collections.defaultdict(dict)
     for summary in summaries:

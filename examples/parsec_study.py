@@ -4,7 +4,7 @@ launch script, regenerating Figs 6 and 7).
 
 Runs the full 60-point cross product — {Ubuntu 18.04, 20.04} x 10 working
 PARSEC applications x {1, 2, 8} CPUs on a TimingSimpleCPU — through the
-gem5art pipeline with the multiprocessing-style pool, then queries the
+gem5art pipeline with the Celery-style scheduler, then queries the
 database and renders both figures as text charts.
 
 Run with:  python examples/parsec_study.py
@@ -25,7 +25,7 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_pool,
+    run_jobs_scheduler,
 )
 from repro.guest import get_distro
 from repro.resources import build_resource
@@ -89,7 +89,7 @@ def main() -> None:
                     )
                 )
     print(f"launching {len(runs)} gem5 runs ...")
-    run_jobs_pool(runs, processes=8)
+    run_jobs_scheduler(runs, worker_count=8)
 
     records = run_records(db)
     # Attribute each run to its OS via the disk-image artifact it used.

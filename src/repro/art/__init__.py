@@ -11,8 +11,8 @@ reproducible by construction:
   the input artifacts plus the parameters of one simulation (the paper's
   Fig 4 ``createFSRun``), execute it, and archive the results;
 - :mod:`repro.art.tasks` — hand run objects to a job scheduler (Celery-like
-  app or multiprocessing-like pool) and collect states (Fig 5's
-  ``apply_async`` loop);
+  app on worker threads or processes) or run them inline, and collect
+  states (Fig 5's ``apply_async`` loop);
 - :mod:`repro.art.workflow` — the Fig 1 component graph, derived from
   artifact input edges.
 
@@ -36,9 +36,7 @@ from repro.art.tasks import (
     group_runs_by_prefix,
     run_boot_stage,
     run_job,
-    run_jobs_pool,
     run_jobs_scheduler,
-    run_jobs_batch,
 )
 from repro.art.workflow import workflow_graph
 from repro.art.launch import Experiment
@@ -65,9 +63,7 @@ __all__ = [
     "group_runs_by_prefix",
     "run_boot_stage",
     "run_job",
-    "run_jobs_pool",
     "run_jobs_scheduler",
-    "run_jobs_batch",
     "workflow_graph",
     "Experiment",
     "export_archive",

@@ -6,7 +6,7 @@ asynchronously.  :class:`Experiment` captures that pattern declaratively:
 
 - one or more *stacks* (named artifact sets — e.g. one per Ubuntu release),
 - parameter *axes* to sweep,
-- a backend choice (pool / scheduler / inline),
+- a backend choice (scheduler / inline),
 
 and it records the experiment itself as a document so the database tells
 the whole story: which artifacts, which cross product, which outcomes.
@@ -32,7 +32,6 @@ from repro.art.run import Gem5Run, RunStatus
 from repro.art.tasks import (
     run_boot_stage,
     run_job,
-    run_jobs_pool,
     run_jobs_scheduler,
 )
 
@@ -200,7 +199,7 @@ class Experiment:
 
     def launch(
         self,
-        backend: str = "pool",
+        backend: str = "inline",
         workers: int = 4,
         resume: bool = False,
         use_cache: bool = True,
@@ -211,9 +210,11 @@ class Experiment:
     ) -> List[Dict[str, Any]]:
         """Execute every run via the chosen backend and return summaries.
 
-        Backends mirror the paper's three options: ``pool``
-        (multiprocessing-style), ``scheduler`` (Celery-style), ``inline``
-        (no job manager at all).
+        Backends cover the paper's three task-manager options:
+        ``scheduler`` is Celery-style on its default ``threads``
+        substrate and multiprocessing-style with
+        ``substrate="processes"``; ``inline`` (the default) uses no job
+        manager at all.
 
         ``resume=True`` makes the launch idempotent: runs already marked
         done in the database are skipped, so an interrupted experiment
@@ -263,7 +264,7 @@ class Experiment:
 
     def resume(
         self,
-        backend: str = "pool",
+        backend: str = "inline",
         workers: int = 4,
         retry_failures: bool = False,
         use_cache: bool = True,
@@ -328,10 +329,10 @@ class Experiment:
         priority: str = "default",
         use_checkpoints: bool = False,
     ) -> List[Dict[str, Any]]:
-        if backend not in ("pool", "scheduler", "inline"):
+        if backend not in ("scheduler", "inline"):
             raise ValidationError(
                 f"unknown backend {backend!r}; "
-                "one of ('pool', 'scheduler', 'inline')"
+                "one of ('scheduler', 'inline')"
             )
         if substrate != "threads" and backend != "scheduler":
             raise ValidationError(
@@ -382,26 +383,18 @@ class Experiment:
                         checkpoint_store=store,
                     )
                 else:
-                    # pool/inline backends stage the boot phase here;
+                    # The inline backend stages the boot phase here;
                     # the scheduler backend stages it internally.
                     if store is not None:
                         run_boot_stage(
                             pending, store, worker_count=workers
                         )
-                    if backend == "pool":
-                        run_jobs_pool(
-                            pending,
-                            processes=workers,
+                    for run in pending:
+                        run_job(
+                            run,
                             use_cache=use_cache,
                             checkpoint_store=store,
                         )
-                    else:
-                        for run in pending:
-                            run_job(
-                                run,
-                                use_cache=use_cache,
-                                checkpoint_store=store,
-                            )
             interrupted = False
         finally:
             # The journal survives a crash here: a campaign killed

@@ -1,14 +1,18 @@
 """Task execution — the paper's Fig 5 launch-script tail.
 
-Run objects are handed to an external task manager: a Celery-like
-:class:`~repro.scheduler.SchedulerApp`, a multiprocessing-like
-:class:`~repro.scheduler.SimplePool`, or no scheduler at all (synchronous
-:func:`run_job`).  All three return the same summaries, so launch scripts
-can switch managers freely — exactly the flexibility Section IV-D claims.
+Section IV-D hands run objects to Celery, to Python multiprocessing, or to
+no task manager at all.  Two entry points cover all three:
+:func:`run_jobs_scheduler` drives the Celery-like
+:class:`~repro.scheduler.SchedulerApp`, on worker threads
+(``substrate="threads"``) or on a multiprocessing
+:class:`~repro.scheduler.ProcessPool` (``substrate="processes"``); and
+:func:`run_job` executes one run synchronously.  Both return the same
+summaries, so launch scripts can switch managers freely.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence
 
@@ -23,16 +27,9 @@ from repro.scheduler import (
     ProcessPool,
     RetryPolicy,
     SchedulerApp,
-    SimplePool,
     TaskState,
 )
 from repro.telemetry import get_metrics, get_tracer
-from repro.scheduler.batch import (
-    BatchSystem,
-    JobDescription,
-    JobState,
-    Machine,
-)
 
 
 def run_job(
@@ -42,34 +39,6 @@ def run_job(
 ) -> Dict[str, object]:
     """Execute one run synchronously (the no-scheduler option)."""
     return run.run(use_cache=use_cache, checkpoint_store=checkpoint_store)
-
-
-def run_jobs_pool(
-    runs: Sequence[Gem5Run],
-    processes: int = 4,
-    use_cache: bool = True,
-    checkpoint_store: Optional[CheckpointStore] = None,
-) -> List[Dict[str, object]]:
-    """Execute runs through the multiprocessing-style pool, preserving
-    input order in the returned summaries.
-
-    The submitting thread's span context is captured here and re-parented
-    on each pool thread (pool threads cannot see the submitter's
-    thread-local span stack)."""
-    tracer = get_tracer()
-    parent = tracer.current_context_dict()
-
-    def execute(run: Gem5Run) -> Dict[str, object]:
-        with tracer.activate(parent):
-            return run_job(
-                run,
-                use_cache=use_cache,
-                checkpoint_store=checkpoint_store,
-            )
-
-    with SimplePool(processes=processes) as pool:
-        handles = [pool.apply_async(execute, (run,)) for run in runs]
-        return [handle.get() for handle in handles]
 
 
 def group_runs_by_prefix(
@@ -129,15 +98,10 @@ def run_boot_stage(
             # Boots for distinct prefixes are independent; drive them
             # concurrently (on the process substrate each thread only
             # blocks on a pool handle, so worker processes fill up).
-            with SimplePool(
-                processes=min(worker_count, len(plan))
-            ) as boot_pool:
-                handles = {
-                    prefix: boot_pool.apply_async(boot_one, (prefix,))
-                    for prefix in plan
-                }
-                for prefix, handle in handles.items():
-                    checkpoints[prefix] = handle.get()
+            with ThreadPoolExecutor(
+                max_workers=min(worker_count, len(plan))
+            ) as boots:
+                checkpoints = dict(zip(plan, boots.map(boot_one, plan)))
     return checkpoints
 
 
@@ -335,42 +299,3 @@ def run_jobs_scheduler(
         app.shutdown()
         if pool is not None:
             pool.shutdown()
-
-
-def run_jobs_batch(
-    runs: Sequence[Gem5Run],
-    machines: Sequence[Machine] = None,
-    requirements: Dict[str, object] = None,
-) -> List[Dict[str, object]]:
-    """Execute runs through the Condor-style batch system.
-
-    ``machines`` defaults to a single 4-slot local node.  All jobs share
-    ``requirements`` (e.g. ``{"memory_mb": 16384}``); jobs no machine can
-    satisfy come back as held, not errors.
-    """
-    pool = BatchSystem()
-    for machine in machines or (Machine("localhost", slots=4),):
-        pool.add_machine(machine)
-    jobs = [
-        pool.submit(
-            JobDescription(
-                executable=run.run, requirements=dict(requirements or {})
-            )
-        )
-        for run in runs
-    ]
-    summaries: List[Dict[str, object]] = []
-    for run, job in zip(runs, jobs):
-        state = job.wait(timeout=max(60.0, run.timeout))
-        if state is JobState.COMPLETED:
-            summaries.append(job.result)
-        else:
-            summaries.append(
-                {
-                    "success": False,
-                    "batch_state": state.value,
-                    "error": job.error,
-                    "run_id": run.run_id,
-                }
-            )
-    return summaries

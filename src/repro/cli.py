@@ -127,8 +127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(file:///dir for anything that survives a crash)",
     )
     resume.add_argument(
-        "--backend", default="pool",
-        choices=("pool", "scheduler", "inline"),
+        "--backend", default="inline",
+        choices=("scheduler", "inline"),
     )
     resume.add_argument("--workers", type=int, default=4)
     resume.add_argument(

@@ -53,7 +53,7 @@ EXECUTION_DEFAULTS: Dict[str, object] = {
 }
 
 _EXECUTION_CHOICES = {
-    "backend": ("scheduler", "pool", "inline"),
+    "backend": ("scheduler", "inline"),
     "substrate": ("threads", "processes"),
     "priority": ("interactive", "default", "bulk"),
 }
@@ -230,6 +230,13 @@ def _validate_execution(raw: Mapping[str, Any]) -> Dict[str, Any]:
                 f"execution.{key} must be one of {choices} "
                 f"(got {settings[key]!r})"
             )
+    if settings["substrate"] != "threads" and (
+        settings["backend"] != "scheduler"
+    ):
+        raise ValidationError(
+            f"execution.substrate {settings['substrate']!r} requires "
+            "the scheduler backend"
+        )
     workers = settings["workers"]
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(

@@ -1,20 +1,18 @@
 """A job-scheduler substrate — the Celery / multiprocessing substitute.
 
 gem5art hands run objects to an external task manager: Celery when runs span
-machines, or the Python multiprocessing library for a single host.  This
-package provides both API shapes backed by a thread worker pool, which is the
-right execution vehicle for a pure-Python simulator (jobs are CPU-light model
-evaluations, and threads share the in-process database):
+machines, or the Python multiprocessing library for a single host (the
+paper's third option, no task manager at all, needs nothing from this
+package).  Both shapes sit behind one application:
 
 - :class:`SchedulerApp` — a Celery-like application: ``@app.task`` decorated
-  functions, ``apply_async``, task states, retries, timeouts, a result
-  backend, and worker lifecycle management.
-- :class:`SimplePool` — a ``multiprocessing.Pool``-like fallback for users
-  who want no scheduler at all (the paper's third option).
-- :class:`ProcessPool` — the *real* multiprocessing substrate: spawn-safe
-  worker processes fed pickle-safe :class:`JobEnvelope` s, with
-  lease-backed crash redelivery and telemetry merge-on-drain.  Selected
-  behind the scheduler with ``substrate="processes"``.
+  functions, ``apply_async``, task states, retries, timeouts, admission
+  control, a result backend, and worker lifecycle management.  Its worker
+  threads share the in-process database.
+- :class:`ProcessPool` — the multiprocessing substrate: spawn-safe worker
+  processes fed pickle-safe :class:`JobEnvelope` s, with lease-backed
+  crash redelivery and telemetry merge-on-drain.  Selected behind the
+  scheduler with ``substrate="processes"``.
 """
 
 from repro.scheduler.states import TaskState
@@ -33,19 +31,11 @@ from repro.scheduler.admission import (
 )
 from repro.scheduler.broker import Broker, TaskMessage
 from repro.scheduler.app import SchedulerApp
-from repro.scheduler.pool import PoolResult, SimplePool
 from repro.scheduler.procpool import (
     JobEnvelope,
     ProcessPool,
     ProcJobHandle,
     WorkerJobError,
-)
-from repro.scheduler.batch import (
-    BatchSystem,
-    BatchJob,
-    JobDescription,
-    JobState,
-    Machine,
 )
 
 __all__ = [
@@ -68,15 +58,8 @@ __all__ = [
     "Broker",
     "TaskMessage",
     "SchedulerApp",
-    "SimplePool",
-    "PoolResult",
     "JobEnvelope",
     "ProcessPool",
     "ProcJobHandle",
     "WorkerJobError",
-    "BatchSystem",
-    "BatchJob",
-    "JobDescription",
-    "JobState",
-    "Machine",
 ]

@@ -189,9 +189,10 @@ class Tracer:
         """Make ``parent`` the implicit parent on *this* thread.
 
         Used by executors whose worker threads receive a span context
-        from another thread (e.g. the pool backend): inside the block,
-        new spans nest under the remote parent without an extra
-        intermediate span."""
+        from another thread (e.g. a scheduler worker running a task
+        submitted by the launch thread): inside the block, new spans
+        nest under the remote parent without an extra intermediate
+        span."""
         ctx = self._resolve_parent(parent)
         if ctx is None:
             yield

@@ -11,13 +11,11 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_batch,
     verify_archive,
 )
 from repro.common.errors import StateError, ValidationError
 from repro.guest import get_distro
 from repro.resources import build_resource
-from repro.scheduler import Machine
 from repro.sim import Gem5Build
 
 
@@ -86,11 +84,6 @@ def test_experiment_launch_inline_and_report(db):
     assert report["by_stack"]["ubuntu-18.04"]["ok"] == 2
 
 
-def test_experiment_launch_pool_backend(db):
-    summaries = make_experiment(db).launch(backend="pool", workers=2)
-    assert len(summaries) == 2
-
-
 def test_experiment_multi_stack(db):
     experiment = Experiment(db, "two-os")
     experiment.add_stack("ubuntu-18.04", **stack_artifacts(db, "ubuntu-18.04"))
@@ -124,6 +117,8 @@ def test_experiment_unknown_backend(db):
     experiment = make_experiment(db)
     with pytest.raises(ValidationError):
         experiment.launch(backend="slurm")
+    with pytest.raises(ValidationError):
+        experiment.launch(backend="pool")
 
 
 def test_experiment_double_create_rejected(db):
@@ -131,15 +126,6 @@ def test_experiment_double_create_rejected(db):
     experiment.create_runs()
     with pytest.raises(StateError):
         experiment.create_runs()
-
-
-def test_run_jobs_batch_backend(db):
-    experiment = make_experiment(db)
-    runs = experiment.create_runs()
-    summaries = run_jobs_batch(
-        runs, machines=[Machine("sim-host", slots=2)]
-    )
-    assert all(s["success"] for s in summaries)
 
 
 # ----------------------------------------------------------------- share

@@ -64,7 +64,7 @@ def test_resume_on_fresh_experiment_runs_everything():
 def test_full_launch_returns_stored_results():
     db = ArtifactDB()
     experiment = make_experiment(db)
-    summaries = experiment.launch(backend="pool", workers=2)
+    summaries = experiment.launch(backend="inline")
     for summary, run_id in zip(
         summaries,
         db.database.collection("experiments").find_one(

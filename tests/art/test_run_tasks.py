@@ -11,7 +11,6 @@ from repro.art import (
     register_kernel_binary,
     register_repo,
     run_job,
-    run_jobs_pool,
     run_jobs_scheduler,
 )
 from repro.common.errors import ValidationError
@@ -139,19 +138,6 @@ def test_gpu_run_requires_gcn3_build(db):
     binary = register_gem5_binary(db, Gem5Build(), inputs=[repo])
     with pytest.raises(ValidationError):
         Gem5Run.create_gpu_run(db, binary, repo, workload="FAMutex")
-
-
-def test_run_jobs_pool(db, fs_artifacts):
-    runs = [
-        make_run(db, fs_artifacts, num_cpus=n, benchmark=None)
-        for n in (1, 1, 1)
-    ]
-    summaries = run_jobs_pool(runs, processes=2)
-    assert len(summaries) == 3
-    assert all(s["success"] for s in summaries)
-    assert all(
-        db.get_run(r.run_id)["status"] == "done" for r in runs
-    )
 
 
 def test_run_jobs_scheduler(db, fs_artifacts):

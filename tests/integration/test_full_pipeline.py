@@ -15,7 +15,7 @@ from repro.art import (
     register_gem5_binary,
     register_kernel_binary,
     register_repo,
-    run_jobs_pool,
+    run_job,
     run_jobs_scheduler,
 )
 from repro.art.workflow import workflow_graph
@@ -55,7 +55,7 @@ def build_experiment(db, distro="ubuntu-18.04", apps=("ferret",)):
 def test_resources_to_analysis_roundtrip():
     db = ArtifactDB()
     runs = build_experiment(db, apps=("ferret", "vips"))
-    run_jobs_pool(runs, processes=4)
+    run_jobs_scheduler(runs, worker_count=4)
 
     records = run_records(db)
     assert len(records) == 4
@@ -79,7 +79,7 @@ def test_persistent_database_roundtrip(tmp_path):
     uri = f"file://{tmp_path}/experiment-db"
     db = ArtifactDB(connect(uri))
     runs = build_experiment(db)
-    run_jobs_pool(runs, processes=2)
+    run_jobs_scheduler(runs, worker_count=2)
     db.save()
 
     # A different researcher opens the same database.
@@ -104,7 +104,7 @@ def test_experiment_is_bit_reproducible():
     def execute():
         db = ArtifactDB()
         runs = build_experiment(db)
-        summaries = run_jobs_pool(runs, processes=2)
+        summaries = run_jobs_scheduler(runs, worker_count=2)
         hashes = sorted(
             doc["hash"] for doc in db.artifacts.all_documents()
         )
@@ -139,19 +139,35 @@ def test_changing_one_input_changes_exactly_that_artifact():
     assert h18["kernel"] != h20["kernel"]  # distros pin different kernels
 
 
-def test_scheduler_and_pool_agree():
-    """The paper's promise: the task backend is interchangeable."""
-    db_pool = ArtifactDB()
-    db_sched = ArtifactDB()
-    pool_summaries = run_jobs_pool(
-        build_experiment(db_pool), processes=2
+def test_every_execution_path_gives_identical_stats():
+    """The paper's promise: the task manager is interchangeable.  Inline,
+    scheduler-on-threads and scheduler-on-processes archive
+    byte-identical stats for the same specs."""
+
+    def stats_by_fingerprint(execute):
+        db = ArtifactDB()
+        runs = build_experiment(db, apps=("ferret", "vips"))
+        summaries = execute(runs)
+        assert all(summary["success"] for summary in summaries)
+        return {
+            run.fingerprint: summary["stats_fingerprint"]
+            for run, summary in zip(runs, summaries)
+        }
+
+    inline = stats_by_fingerprint(
+        lambda runs: [run_job(run) for run in runs]
     )
-    sched_summaries = run_jobs_scheduler(
-        build_experiment(db_sched), worker_count=2
+    threads = stats_by_fingerprint(
+        lambda runs: run_jobs_scheduler(runs, worker_count=2)
     )
-    pool_times = sorted(s["sim_seconds"] for s in pool_summaries)
-    sched_times = sorted(s["sim_seconds"] for s in sched_summaries)
-    assert pool_times == sched_times
+    processes = stats_by_fingerprint(
+        lambda runs: run_jobs_scheduler(
+            runs, worker_count=2, substrate="processes"
+        )
+    )
+    assert len(inline) == 4
+    assert threads == inline
+    assert processes == inline
 
 
 def test_broken_benchmark_flows_through_pipeline():

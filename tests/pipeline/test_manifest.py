@@ -171,11 +171,30 @@ def test_execution_validation():
             "pipeline: demo\nexecution: {backend: slurm}\n"
             "stages: [{name: a, kind: python}]"
         )
+    with pytest.raises(ValidationError, match="execution.backend"):
+        parse_manifest_text(
+            "pipeline: demo\nexecution: {backend: pool}\n"
+            "stages: [{name: a, kind: python}]"
+        )
     with pytest.raises(ValidationError, match="positive int"):
         parse_manifest_text(
             "pipeline: demo\nexecution: {workers: 0}\n"
             "stages: [{name: a, kind: python}]"
         )
+    with pytest.raises(
+        ValidationError, match="requires the scheduler backend"
+    ):
+        parse_manifest_text(
+            "pipeline: demo\n"
+            "execution: {backend: inline, substrate: processes}\n"
+            "stages: [{name: a, kind: python}]"
+        )
+    processes = parse_manifest_text(
+        "pipeline: demo\n"
+        "execution: {backend: scheduler, substrate: processes}\n"
+        "stages: [{name: a, kind: python}]"
+    )
+    assert processes.execution["substrate"] == "processes"
 
 
 def test_set_overrides_patch_params_and_change_fingerprint():

@@ -176,6 +176,12 @@ def test_resume_command_backend_and_workers_flags(tmp_path, capsys):
     assert "scheduler backend, 2 workers" in out
 
 
+def test_resume_command_rejects_pool_backend(tmp_path):
+    uri = f"file://{tmp_path}/expdb"
+    with pytest.raises(SystemExit):
+        main(["resume", "parsec-mini", "--db", uri, "--backend", "pool"])
+
+
 def test_resume_command_unknown_experiment(tmp_path, capsys):
     uri = f"file://{tmp_path}/emptydb"
     assert main(["resume", "ghost", "--db", uri]) == 1
